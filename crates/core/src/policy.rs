@@ -246,6 +246,13 @@ pub trait Scheduler {
     fn complete(&mut self, id: JobId, now: Cycles) -> Job;
     /// Desired processor → job assignment under this policy.
     fn assign(&self) -> Vec<Option<JobId>>;
+    /// [`Scheduler::assign`] into a caller-owned buffer, replacing its
+    /// contents. Simulators call this on every scheduling event and reuse
+    /// one buffer; the default delegates to `assign()` (and so allocates),
+    /// which policies without a hot path need not override.
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
+        *desired = self.assign();
+    }
     /// Local pick for a single idle processor (completion path).
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId>;
     /// Notification that `job` executed for `amount` of work ending at
@@ -542,40 +549,53 @@ impl MpdpPolicy {
 
     /// Promotes every periodic job whose promotion instant is `≤ now`,
     /// moving it from the Periodic Ready Queue to the High Priority Local
-    /// Ready Queue of its design-time processor. Returns the promoted ids.
+    /// Ready Queue of its design-time processor. Returns the promoted ids
+    /// in ascending [`JobId`] order, which is the order they join their
+    /// HPLRQs (FIFO among equal upper-band levels).
+    ///
+    /// Only the PRQ is scanned: it is the one place an unpromoted periodic
+    /// job with a pending promotion instant lives. Jobs enter it at release
+    /// with `promotion_at` set and leave it on promotion (into a HPLRQ,
+    /// `promotion_at` cleared) or completion; a demoted job re-enters it
+    /// with `promotion_at` cleared, and aperiodic jobs never carry one. So
+    /// the scan costs the ready periodic jobs, not every job slot ever
+    /// allocated.
     pub fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        let due: Vec<JobId> = self
-            .jobs
+        let mut due: Vec<JobId> = self
+            .prq
             .iter()
-            .filter_map(|slot| slot.as_ref())
-            .filter(|j| !j.promoted && j.promotion_at.is_some_and(|p| p <= now))
-            .map(|j| j.id)
+            .filter(|&id| self.job(id).promotion_at.is_some_and(|p| p <= now))
             .collect();
+        due.sort_unstable();
         for &id in &due {
-            let (task_index, proc, high) = {
-                let job = self.job(id);
-                let JobClass::Periodic { task_index } = job.class else {
-                    unreachable!("only periodic jobs have promotion instants")
-                };
-                let spec = &self.table.periodic()[task_index];
-                (task_index, spec.processor(), spec.priorities().high)
-            };
-            let _ = task_index;
-            self.prq.remove(id);
-            self.hplrq[proc.index()].push(id, high);
-            let job = self.jobs[id.index()].as_mut().expect("live job");
-            job.promoted = true;
-            job.promotion_at = None;
+            self.promote(id);
         }
         due
     }
 
-    /// The earliest pending promotion instant among live unpromoted jobs.
+    /// Moves one unpromoted periodic job from the PRQ to its design-time
+    /// processor's HPLRQ.
+    fn promote(&mut self, id: JobId) {
+        let (proc, high) = {
+            let JobClass::Periodic { task_index } = self.job(id).class else {
+                unreachable!("only periodic jobs have promotion instants")
+            };
+            let spec = &self.table.periodic()[task_index];
+            (spec.processor(), spec.priorities().high)
+        };
+        self.prq.remove(id);
+        self.hplrq[proc.index()].push(id, high);
+        let job = self.jobs[id.index()].as_mut().expect("live job");
+        job.promoted = true;
+        job.promotion_at = None;
+    }
+
+    /// The earliest pending promotion instant among live unpromoted jobs
+    /// (all of which sit in the PRQ; see [`Self::promote_due`]).
     pub fn next_promotion_time(&self) -> Option<Cycles> {
-        self.jobs
+        self.prq
             .iter()
-            .filter_map(|slot| slot.as_ref())
-            .filter_map(|j| j.promotion_at)
+            .filter_map(|id| self.job(id).promotion_at)
             .min()
     }
 
@@ -648,52 +668,63 @@ impl MpdpPolicy {
     ///    it last ran on when that processor is available — so that context
     ///    switches happen "only when necessary" (§5).
     pub fn assign(&self) -> Vec<Option<JobId>> {
-        let m = self.n_procs();
+        let mut desired = Vec::with_capacity(self.n_procs());
+        self.assign_into(&mut desired);
+        desired
+    }
+
+    /// [`Self::assign`] written into a caller-owned buffer (cleared first),
+    /// so a simulator that re-assigns on every event allocates nothing.
+    pub fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
         // Dead processors never receive work (their HPLRQs are drained by
         // `fail_processor`, but guard anyway).
-        let mut desired: Vec<Option<JobId>> = self
-            .hplrq
-            .iter()
-            .enumerate()
-            .map(|(p, q)| if self.alive[p] { q.peek() } else { None })
-            .collect();
-        debug_assert_eq!(desired.len(), m);
+        desired.clear();
+        desired.extend(self.hplrq.iter().enumerate().map(|(p, q)| {
+            if self.alive[p] {
+                q.peek()
+            } else {
+                None
+            }
+        }));
         let n_free = desired
             .iter()
             .enumerate()
             .filter(|&(p, d)| d.is_none() && self.alive[p])
             .count();
-        let globals: Vec<JobId> = self
-            .arq
-            .iter()
-            .chain(self.prq.iter())
-            .take(n_free)
-            .collect();
+        // The selected global jobs: the first `n_free` of the ARQ, then
+        // the PRQ. Walked twice instead of collected.
+        let globals = || self.arq.iter().chain(self.prq.iter()).take(n_free);
         // Affinity pass: place each selected global job on its last
         // processor when that slot is still free.
-        let mut deferred = Vec::new();
-        for id in globals {
-            let last = self.job(id).last_proc;
-            match last {
-                Some(p) if desired[p.index()].is_none() && self.alive[p.index()] => {
-                    desired[p.index()] = Some(id)
+        for id in globals() {
+            if let Some(p) = self.job(id).last_proc {
+                if desired[p.index()].is_none() && self.alive[p.index()] {
+                    desired[p.index()] = Some(id);
                 }
-                _ => deferred.push(id),
             }
         }
-        // Remaining jobs go to the lowest-index free live processors.
-        let mut free = desired
-            .iter()
-            .enumerate()
-            .filter(|&(p, d)| d.is_none() && self.alive[p])
-            .map(|(p, _)| p)
-            .collect::<Vec<_>>()
-            .into_iter();
-        for id in deferred {
-            let p = free.next().expect("one free slot per selected global job");
-            desired[p] = Some(id);
+        // Jobs the affinity pass could not place go, in selection order,
+        // to the lowest-index free live processors. A job was placed iff
+        // it now sits on its last processor (HPLRQ heads are promoted, so
+        // never a global job).
+        let mut next_free = 0;
+        for id in globals() {
+            let placed = self
+                .job(id)
+                .last_proc
+                .is_some_and(|p| desired[p.index()] == Some(id));
+            if placed {
+                continue;
+            }
+            while desired[next_free].is_some() || !self.alive[next_free] {
+                next_free += 1;
+                assert!(
+                    next_free < desired.len(),
+                    "one free slot per selected global job"
+                );
+            }
+            desired[next_free] = Some(id);
         }
-        desired
     }
 
     /// Picks the next job for a single idle processor without disturbing the
@@ -1014,6 +1045,81 @@ impl MpdpPolicy {
         actions
     }
 
+    /// Reference implementation of [`Self::promote_due`]: the scan over
+    /// every job slot ever allocated that the PRQ-bounded scan replaced.
+    /// Kept for the differential tests, which require both to agree step
+    /// by step and cell by cell.
+    #[cfg(any(test, feature = "mutation"))]
+    pub fn promote_due_reference(&mut self, now: Cycles) -> Vec<JobId> {
+        let due: Vec<JobId> = self
+            .jobs
+            .iter()
+            .filter_map(|slot| slot.as_ref())
+            .filter(|j| !j.promoted && j.promotion_at.is_some_and(|p| p <= now))
+            .map(|j| j.id)
+            .collect();
+        for &id in &due {
+            self.promote(id);
+        }
+        due
+    }
+
+    /// Reference implementation of [`Self::next_promotion_time`] (scans
+    /// every job slot); see [`Self::promote_due_reference`].
+    #[cfg(any(test, feature = "mutation"))]
+    pub fn next_promotion_time_reference(&self) -> Option<Cycles> {
+        self.jobs
+            .iter()
+            .filter_map(|slot| slot.as_ref())
+            .filter_map(|j| j.promotion_at)
+            .min()
+    }
+
+    /// Reference implementation of [`Self::assign`] with its original
+    /// temporaries (selected globals, deferred jobs, free slots); see
+    /// [`Self::promote_due_reference`].
+    #[cfg(any(test, feature = "mutation"))]
+    pub fn assign_reference(&self) -> Vec<Option<JobId>> {
+        let mut desired: Vec<Option<JobId>> = self
+            .hplrq
+            .iter()
+            .enumerate()
+            .map(|(p, q)| if self.alive[p] { q.peek() } else { None })
+            .collect();
+        let n_free = desired
+            .iter()
+            .enumerate()
+            .filter(|&(p, d)| d.is_none() && self.alive[p])
+            .count();
+        let globals: Vec<JobId> = self
+            .arq
+            .iter()
+            .chain(self.prq.iter())
+            .take(n_free)
+            .collect();
+        let mut deferred = Vec::new();
+        for id in globals {
+            match self.job(id).last_proc {
+                Some(p) if desired[p.index()].is_none() && self.alive[p.index()] => {
+                    desired[p.index()] = Some(id)
+                }
+                _ => deferred.push(id),
+            }
+        }
+        let mut free = desired
+            .iter()
+            .enumerate()
+            .filter(|&(p, d)| d.is_none() && self.alive[p])
+            .map(|(p, _)| p)
+            .collect::<Vec<_>>()
+            .into_iter();
+        for id in deferred {
+            let p = free.next().expect("one free slot per selected global job");
+            desired[p] = Some(id);
+        }
+        desired
+    }
+
     /// Checks internal invariants; used by tests and debug assertions.
     ///
     /// # Panics
@@ -1121,6 +1227,9 @@ impl Scheduler for MpdpPolicy {
     }
     fn assign(&self) -> Vec<Option<JobId>> {
         self.assign()
+    }
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
+        self.assign_into(desired)
     }
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId> {
         self.pick_for_idle(proc)

@@ -189,10 +189,16 @@ impl ContentionModel {
     /// point the given rates settle into — used to price one-off bus bursts
     /// (context switches, ISR register traffic) under current load.
     pub fn queueing_delay(&self, access_rates: &[f64]) -> f64 {
-        let speeds = self.speeds(access_rates);
+        self.delay_at(access_rates, &self.speeds(access_rates))
+    }
+
+    /// [`ContentionModel::queueing_delay`] from speeds already solved for
+    /// the same rates (bit-equal to it), so one fixed-point solve can price
+    /// both a rate vector's speeds and its queueing delay.
+    pub fn delay_at(&self, access_rates: &[f64], speeds: &[f64]) -> f64 {
         let rho: f64 = access_rates
             .iter()
-            .zip(&speeds)
+            .zip(speeds)
             .map(|(&a, &x)| a * x * self.service)
             .sum();
         self.wait_time(rho)

@@ -72,6 +72,8 @@ pub struct Microkernel<S> {
     mem: MemoryMap,
     costs: KernelCosts,
     stats: KernelStats,
+    /// Buffer for the policy's desired assignment, reused by every pass.
+    desired: Vec<Option<JobId>>,
     /// Seeded bug (`IsrReleaseDrop`): when `Some(n)`, every `n`-th aperiodic
     /// ISR silently drops its release — the interrupt is acknowledged but no
     /// job is enqueued, exactly as if the peripheral event were lost between
@@ -110,6 +112,7 @@ impl<S: Scheduler> Microkernel<S> {
             mem,
             costs,
             stats: KernelStats::default(),
+            desired: Vec::with_capacity(n_procs),
             #[cfg(any(test, feature = "mutation"))]
             isr_drop_every: None,
             #[cfg(any(test, feature = "mutation"))]
@@ -169,8 +172,8 @@ impl<S: Scheduler> Microkernel<S> {
         } else {
             (Vec::new(), Vec::new())
         };
-        let desired = self.policy.assign();
-        let actions = self.policy.diff(&desired);
+        self.policy.assign_into(&mut self.desired);
+        let actions = self.policy.diff(&self.desired);
         let ipis = actions.iter().filter(|a| a.proc != on_proc).count();
         self.stats.ipis += ipis as u64;
         self.stats.sched_passes += 1;

@@ -2,6 +2,8 @@
 //! trips, SIGKILL crash recovery, overload shedding, typed timeouts, and
 //! the SIGTERM graceful drain through the sh trampoline.
 
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -180,6 +182,26 @@ fn sigkill_recovery_rebuilds_sessions_byte_identically() {
     d2.cleanup();
 }
 
+/// Requests the wedge connection sends without reading a reply: their
+/// replies (≥ 30 bytes each) far exceed what a Unix socket buffers.
+const WEDGE_PINGS: usize = 20_000;
+
+/// Reads one reply line if one arrives within the stream's read timeout;
+/// a partial line stays in `buf` for the next call.
+fn poll_line(reader: &mut BufReader<UnixStream>, buf: &mut String) -> Option<String> {
+    match reader.read_line(buf) {
+        Ok(0) => panic!("daemon closed the connection"),
+        Ok(_) if buf.ends_with('\n') => {
+            let line = buf.trim_end().to_string();
+            buf.clear();
+            Some(line)
+        }
+        Ok(_) => None,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => None,
+        Err(e) => panic!("probe read failed: {e}"),
+    }
+}
+
 #[test]
 fn overload_sheds_best_effort_but_never_guaranteed() {
     // One worker and a tiny queue so the burst actually overloads it.
@@ -200,13 +222,56 @@ fn overload_sheds_best_effort_but_never_guaranteed() {
         .expect("open");
     assert!(open.contains("\"ok\":true"), "{open}");
 
-    // Occupy the single worker with a slow simulate query.
     let mut slow = d.connect();
     slow.send(r#"{"op":"query","id":2,"session":"s","kind":"simulate"}"#)
         .expect("send simulate");
-    std::thread::sleep(Duration::from_millis(100));
 
-    // A 10x best-effort burst against a queue of 4.
+    // Wedge the single worker: a connection that sends pings and reads
+    // none of the replies until the end. Once they fill its socket, the
+    // worker blocks writing one (or waiting for the connection's writer,
+    // held by a reader thread blocked writing a shed reply) and stays
+    // blocked until the test reads — however fast the simulator is.
+    let wedge = UnixStream::connect(&d.socket).expect("connect wedge");
+    let mut wedge_tx = wedge.try_clone().expect("clone wedge");
+    let sender = std::thread::spawn(move || {
+        for i in 0..WEDGE_PINGS {
+            let line = format!("{{\"op\":\"ping\",\"id\":{}}}\n", 10_000 + i);
+            wedge_tx
+                .write_all(line.as_bytes())
+                .expect("send wedge ping");
+        }
+    });
+
+    // Observe the wedge: a wedged worker leaves the queue full, and a
+    // best-effort request against a full queue is answered "overloaded"
+    // at once by its reader thread. Probe until that answer arrives.
+    let probe = UnixStream::connect(&d.socket).expect("connect probe");
+    probe
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("probe timeout");
+    let mut probe_tx = probe.try_clone().expect("clone probe");
+    let mut probe_rx = BufReader::new(probe);
+    let (mut probe_sent, mut probe_got, mut partial) = (0usize, 0usize, String::new());
+    let t0 = Instant::now();
+    'observe: loop {
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "the queue never saturated"
+        );
+        probe_tx
+            .write_all(format!("{{\"op\":\"ping\",\"id\":{}}}\n", 50_000 + probe_sent).as_bytes())
+            .expect("send probe");
+        probe_sent += 1;
+        while let Some(reply) = poll_line(&mut probe_rx, &mut partial) {
+            probe_got += 1;
+            if reply.contains("\"error\":\"overloaded\"") {
+                break 'observe;
+            }
+            assert!(reply.contains("\"pong\":true"), "{reply}");
+        }
+    }
+
+    // A 10x best-effort burst against the saturated queue of 4.
     let mut burst = d.connect();
     let n_burst = 40;
     for i in 0..n_burst {
@@ -214,7 +279,6 @@ fn overload_sheds_best_effort_but_never_guaranteed() {
             .send(&format!(r#"{{"op":"ping","id":{}}}"#, 100 + i))
             .expect("send ping");
     }
-    std::thread::sleep(Duration::from_millis(100));
 
     // Guaranteed admissions arrive while the queue is saturated.
     let mut guaranteed = d.connect();
@@ -228,6 +292,22 @@ fn overload_sheds_best_effort_but_never_guaranteed() {
             ))
             .expect("send admit");
     }
+
+    // Release the worker: read every wedge reply.
+    wedge
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("wedge timeout");
+    let mut wedge_rx = BufReader::new(wedge);
+    for _ in 0..WEDGE_PINGS {
+        let mut reply = String::new();
+        wedge_rx.read_line(&mut reply).expect("wedge reply");
+        assert!(
+            reply.contains("\"pong\":true") || reply.contains("\"error\":\"overloaded\""),
+            "{reply}"
+        );
+    }
+    sender.join().expect("wedge sender");
+
     for _ in 0..n_admits {
         let reply = guaranteed.recv().expect("admit answered");
         assert!(
@@ -249,6 +329,20 @@ fn overload_sheds_best_effort_but_never_guaranteed() {
     }
     assert!(shed > 0, "burst never overloaded the queue");
     assert_eq!(shed + answered, n_burst);
+
+    probe_rx
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("probe timeout");
+    while probe_got < probe_sent {
+        let mut reply = std::mem::take(&mut partial);
+        probe_rx.read_line(&mut reply).expect("probe reply");
+        assert!(
+            reply.contains("\"pong\":true") || reply.contains("\"error\":\"overloaded\""),
+            "{reply}"
+        );
+        probe_got += 1;
+    }
 
     let _ = slow.recv().expect("simulate eventually answers");
     let stats = setup.call(r#"{"op":"stats","id":3}"#).expect("stats");

@@ -235,15 +235,112 @@ fn running_eta(remaining: f64, speed: f64) -> u64 {
     (remaining / speed).ceil().max(1.0) as u64
 }
 
-/// Rebuilds `key` as the memo key for a bus-rate vector: the rates' bit
-/// patterns, with -0.0 canonicalized to +0.0 (`r + 0.0` — IEEE 754
-/// addition returns +0.0 for -0.0 + 0.0). The contention fixed point and
-/// the queueing delay are pure functions of the rate *values*, and -0.0
-/// and +0.0 compare equal, so the two encodings must share one memo
-/// entry; keying on raw `to_bits` split them into duplicates.
-fn rate_memo_key(rates: &[f64], key: &mut Vec<u64>) {
+/// Rebuilds `key` as the memo key for a bus-rate vector under a model
+/// with per-transaction service time `service`: the service time's bits,
+/// then the rates' bit patterns with -0.0 canonicalized to +0.0 (`r + 0.0`
+/// — IEEE 754 addition returns +0.0 for -0.0 + 0.0). The contention fixed
+/// point and the queueing delay are pure functions of the service time
+/// and the rate *values*, and -0.0 and +0.0 compare equal, so the two
+/// encodings must share one memo entry; keying on raw `to_bits` split them
+/// into duplicates.
+fn rate_memo_key(service: f64, rates: &[f64], key: &mut Vec<u64>) {
     key.clear();
+    key.push(service.to_bits());
     key.extend(rates.iter().map(|r| (r + 0.0).to_bits()));
+}
+
+/// Most rate vectors one [`ContentionMemo`] stores. A 72-cell Figure 4
+/// sweep meets fewer than a thousand; past the cap a vector is still
+/// solved and used, just not stored, so the memo stays bounded on any
+/// input.
+const MEMO_CAP: usize = 4096;
+
+/// Solved contention fixed points, keyed by the model's service time and
+/// the canonical bits of a bus-rate vector (see [`rate_memo_key`]).
+///
+/// Per-processor rates come from a tiny alphabet (idle, kernel burst, ISR
+/// burst, one value per task memory profile), so a run — and every other
+/// run over the same profiles — revisits the same handful of vectors
+/// thousands of times. Each entry holds one damped solve's speeds and the
+/// queueing delay at that operating point. Both are pure functions of the
+/// key, so a memoized answer is bit-equal to a re-solved one, and one memo
+/// can serve every cell a sweep worker runs: the sweep engine keeps one
+/// per worker for the length of one sweep. A plain
+/// [`PrototypeSim::run`] starts from an empty memo.
+#[derive(Debug, Default)]
+pub struct ContentionMemo {
+    entries: HashMap<Vec<u64>, Solved>,
+    /// Scratch for the lookup key, so a hit allocates nothing.
+    key: Vec<u64>,
+    solves: u64,
+}
+
+#[derive(Debug)]
+struct Solved {
+    speeds: Vec<f64>,
+    delay: f64,
+}
+
+impl ContentionMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fixed-point solves run through this memo so far (its misses).
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    /// Distinct rate vectors stored.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is stored yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Writes the speeds `model` settles into under `rates` to `out`.
+    fn speeds_into(&mut self, model: &ContentionModel, rates: &[f64], out: &mut Vec<f64>) {
+        rate_memo_key(model.service(), rates, &mut self.key);
+        out.clear();
+        if let Some(hit) = self.entries.get(self.key.as_slice()) {
+            out.extend_from_slice(&hit.speeds);
+            return;
+        }
+        let solved = self.solve(model, rates);
+        out.extend_from_slice(&solved.speeds);
+        self.store(solved);
+    }
+
+    /// [`ContentionModel::queueing_delay`] under `rates`.
+    fn delay(&mut self, model: &ContentionModel, rates: &[f64]) -> f64 {
+        rate_memo_key(model.service(), rates, &mut self.key);
+        if let Some(hit) = self.entries.get(self.key.as_slice()) {
+            return hit.delay;
+        }
+        let solved = self.solve(model, rates);
+        let delay = solved.delay;
+        self.store(solved);
+        delay
+    }
+
+    fn solve(&mut self, model: &ContentionModel, rates: &[f64]) -> Solved {
+        self.solves += 1;
+        let mut speeds = Vec::with_capacity(rates.len());
+        model.speeds_into(rates, &mut speeds);
+        let delay = model.delay_at(rates, &speeds);
+        Solved { speeds, delay }
+    }
+
+    /// Stores the solve for the key last built in `self.key`.
+    fn store(&mut self, solved: Solved) {
+        if self.entries.len() < MEMO_CAP {
+            self.entries.insert(self.key.clone(), solved);
+        }
+    }
 }
 
 /// The prototype simulator.
@@ -270,26 +367,15 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     solved_rates: Vec<f64>,
     /// Scratch for assembling per-processor rates without reallocating.
     rates_scratch: Vec<f64>,
-    /// Memo of solved contention fixed points, keyed by the exact bit
-    /// pattern of the rate vector. Per-processor rates come from a tiny
-    /// alphabet (idle, kernel burst, ISR burst, one value per task memory
-    /// profile), so a run revisits the same handful of vectors thousands
-    /// of times; the damped solve (up to `MAX_ITERS` rounds) runs once per
-    /// distinct vector instead. The solve is a pure function of the rates,
-    /// so memoized speeds are bit-equal to re-solved ones.
-    speeds_memo: HashMap<Vec<u64>, Vec<f64>>,
-    /// Scratch for the memo key (rate bits) without reallocating.
-    key_scratch: Vec<u64>,
-    /// Memo for [`Self::cost_duration`]'s queueing-delay term, keyed like
-    /// `speeds_memo`: the delay is a pure function of the running-task
-    /// rate vector, and those vectors repeat from the same small alphabet,
-    /// so the M/D/1 fixed point behind each priced burst is usually a
-    /// cache hit.
-    qd_memo: HashMap<Vec<u64>, f64>,
-    /// Scratch mirroring `rates_scratch` for the queueing-delay memo.
+    /// Solved fixed points behind both the speeds and
+    /// [`Self::cost_duration`]'s queueing delay; swapped in for a run by
+    /// [`Self::run_with_memo`].
+    memo: ContentionMemo,
+    /// Scratch mirroring `rates_scratch` for the queueing-delay rates.
     qd_scratch: Vec<f64>,
-    /// Scratch for the queueing-delay memo key.
-    qd_key_scratch: Vec<u64>,
+    /// Buffer for the policy's desired assignment, reused by every
+    /// scheduling decision.
+    desired: Vec<Option<JobId>>,
     now: Cycles,
     trace: Trace,
     /// Open trace segment per processor (tracked when segment recording or
@@ -365,11 +451,9 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             speeds: vec![1.0; n_procs],
             solved_rates: Vec::new(),
             rates_scratch: Vec::new(),
-            speeds_memo: HashMap::new(),
-            key_scratch: Vec::new(),
-            qd_memo: HashMap::new(),
+            memo: ContentionMemo::new(),
             qd_scratch: Vec::new(),
-            qd_key_scratch: Vec::new(),
+            desired: Vec::with_capacity(n_procs),
             now: Cycles::ZERO,
             trace: Trace::new(),
             open: vec![None; n_procs],
@@ -429,8 +513,23 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
     ///
     /// See [`Self::run`].
     pub fn run_probed(
+        self,
+        arrivals: &[(Cycles, usize)],
+    ) -> Result<(PrototypeOutcome, P), TaskSetError> {
+        self.run_with_memo(arrivals, &mut ContentionMemo::new())
+    }
+
+    /// [`Self::run_probed`] solving contention through `memo`, which keeps
+    /// what this run solves for the next run that shares it. Outcomes are
+    /// bit-identical to a run with an empty memo.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::run`].
+    pub fn run_with_memo(
         mut self,
         arrivals: &[(Cycles, usize)],
+        memo: &mut ContentionMemo,
     ) -> Result<(PrototypeOutcome, P), TaskSetError> {
         if arrivals.windows(2).any(|w| w[0].0 > w[1].0) {
             return Err(TaskSetError::UnsortedArrivals);
@@ -441,6 +540,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         if !self.config.isr_bus_rate.is_finite() || self.config.isr_bus_rate < 0.0 {
             return Err(TaskSetError::InvalidParameter("isr_bus_rate"));
         }
+        std::mem::swap(&mut self.memo, memo);
         let mut arrival_idx = 0usize;
         if let Some(pin) = self.config.pin_interrupts_to {
             for per in 0..self.kernel.policy().table().aperiodic().len().max(1) {
@@ -590,6 +690,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         for p in 0..self.n_procs() {
             self.close_segment(ProcId::new(p as u32));
         }
+        std::mem::swap(&mut self.memo, memo);
         if self.track {
             self.survival.shed += self.kernel.stats().aperiodic_shed;
             if self.survival.failed_proc.is_none() {
@@ -840,18 +941,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 self.rates_scratch = rates;
                 return;
             }
-            rate_memo_key(&rates, &mut self.key_scratch);
-            match self.speeds_memo.get(&self.key_scratch) {
-                Some(solved) => {
-                    self.speeds.clear();
-                    self.speeds.extend_from_slice(solved);
-                }
-                None => {
-                    self.contention.speeds_into(&rates, &mut self.speeds);
-                    self.speeds_memo
-                        .insert(self.key_scratch.clone(), self.speeds.clone());
-                }
-            }
+            self.memo
+                .speeds_into(&self.contention, &rates, &mut self.speeds);
             std::mem::swap(&mut self.solved_rates, &mut rates);
             self.rates_scratch = rates;
             return;
@@ -891,15 +982,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }));
         // The delay is a pure function of the running-task rates; solve
         // once per distinct running set.
-        rate_memo_key(&running_rates, &mut self.qd_key_scratch);
-        let task_wait = match self.qd_memo.get(&self.qd_key_scratch) {
-            Some(&value) => value,
-            None => {
-                let value = self.contention.queueing_delay(&running_rates);
-                self.qd_memo.insert(self.qd_key_scratch.clone(), value);
-                value
-            }
-        };
+        let task_wait = self.memo.delay(&self.contention, &running_rates);
         self.qd_scratch = running_rates;
         let task_wait = task_wait.min(3.0 * service);
         let per_word = service * (1.0 + other_bursts) + task_wait;
@@ -1136,17 +1219,17 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 // Recompute the assignment *now* — completions and other
                 // processors' switches may have landed during the pass — and
                 // raise IPIs for every remote processor whose task changed.
-                let desired = self.kernel.policy().assign();
-                for a in self.kernel.policy().diff(&desired) {
-                    if a.proc != proc {
-                        self.intc.raise_ipi(proc, a.proc, 0, self.now);
+                self.kernel.policy().assign_into(&mut self.desired);
+                let running = self.kernel.policy().running();
+                for (p, (cur, want)) in running.iter().zip(&self.desired).enumerate() {
+                    if cur != want && p != proc.index() {
+                        self.intc
+                            .raise_ipi(proc, ProcId::new(p as u32), 0, self.now);
                         if P::ENABLED {
                             self.probe.event(
                                 self.now,
                                 Some(proc.as_u32()),
-                                EventKind::IpiSend {
-                                    to: a.proc.as_u32(),
-                                },
+                                EventKind::IpiSend { to: p as u32 },
                             );
                         }
                     }
@@ -1181,8 +1264,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
     /// current desired assignment (the IPI handler's logic, shared with the
     /// scheduling-pass epilogue).
     fn resolve_local_switch(&mut self, proc: ProcId, paused: Option<JobId>, in_isr: bool) {
-        let desired = self.kernel.policy().assign();
-        let want = desired[proc.index()];
+        self.kernel.policy().assign_into(&mut self.desired);
+        let want = self.desired[proc.index()];
         let cur = self.kernel.policy().running()[proc.index()];
         debug_assert_eq!(cur, paused);
         if want == cur {
@@ -1355,7 +1438,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         // processor it migrated from). Without this, a mid-migration
         // promoted job could wait until the next tick — violating the
         // promotion analysis.
-        let desired = self.kernel.policy().assign();
+        let mut desired = std::mem::take(&mut self.desired);
+        self.kernel.policy().assign_into(&mut desired);
         for (p, slot) in desired.iter().enumerate() {
             let proc = ProcId::new(p as u32);
             let Activity::Running(cur) = self.activity[p] else {
@@ -1378,6 +1462,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 );
             }
         }
+        self.desired = desired;
     }
 
     fn ensure_job(&mut self, job: JobId) {
@@ -1602,8 +1687,8 @@ mod tests {
             "raw bit patterns differ — the canonicalization is load-bearing"
         );
         let (mut pos, mut neg) = (Vec::new(), Vec::new());
-        rate_memo_key(&[0.4, 0.0], &mut pos);
-        rate_memo_key(&[0.4, -0.0], &mut neg);
+        rate_memo_key(12.0, &[0.4, 0.0], &mut pos);
+        rate_memo_key(12.0, &[0.4, -0.0], &mut neg);
         assert_eq!(pos, neg, "negative zero must key like positive zero");
         let mut memo: HashMap<Vec<u64>, f64> = HashMap::new();
         memo.insert(pos, 1.25);

@@ -204,6 +204,10 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
     // Per-job budget ledger (filled only when `track`): demand at release,
     // enforcement budget, and whether the overrun was already acted on.
     let mut ledger: Vec<(Cycles, Cycles, bool)> = Vec::new();
+    // Scheduling-pass buffers, reused by every pass: the desired
+    // assignment and the processors whose job it changes.
+    let mut desired: Vec<Option<JobId>> = Vec::with_capacity(policy.n_procs());
+    let mut changed: Vec<ProcId> = Vec::with_capacity(policy.n_procs());
 
     let demand_of = |policy: &S, job: JobId| -> Cycles {
         let (base, coord) = match policy.job(job).class {
@@ -577,29 +581,35 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                     );
                 }
             }
-            let desired = policy.assign();
-            let actions = policy.diff(&desired);
+            policy.assign_into(&mut desired);
+            changed.clear();
+            changed.extend(
+                (0..policy.n_procs())
+                    .filter(|&p| policy.running()[p] != desired[p])
+                    .map(|p| ProcId::new(p as u32)),
+            );
             // Two-phase application: processor pairs can exchange tasks
             // ("it could be possible that two processors switch each other
             // their tasks"), so every changed processor releases its job
             // before any new assignment lands.
-            for action in &actions {
+            for &proc in &changed {
                 close_segment(
                     &mut open,
                     &mut trace,
-                    action.proc,
+                    proc,
                     now,
                     config.record_segments,
                     &mut probe,
                 );
-                policy.set_running(action.proc, None);
+                policy.set_running(proc, None);
             }
-            for action in &actions {
-                policy.set_running(action.proc, action.restore);
+            for &proc in &changed {
+                let restore = desired[proc.index()];
+                policy.set_running(proc, restore);
                 switches += 1;
-                if let Some(j) = action.restore {
+                if let Some(j) = restore {
                     let task = task_of(&policy, j);
-                    open_segment(&mut open, action.proc, j, task, now, track_spans);
+                    open_segment(&mut open, proc, j, task, now, track_spans);
                 }
             }
             if awaiting_recovery {

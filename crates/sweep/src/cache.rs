@@ -11,7 +11,9 @@
 //! ## Storage
 //!
 //! The directory holds append-only segment files (`seg-<pid>.mpdpc`),
-//! one per writing process, each a [`LineJournal`] with the standard
+//! one per writing process, created on the process's first insert (a run
+//! that only hits leaves the directory as it found it), each a
+//! [`LineJournal`] with the standard
 //! fsync + per-record-checksum + torn-tail-recovery discipline. The
 //! header fingerprint is the FNV-1a of [`ENGINE_VERSION`], implementing
 //! the `(cell fingerprint, engine version)` key: bumping the engine
@@ -40,7 +42,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::engine::{CellResult, StackResult};
 use crate::error::SweepError;
@@ -83,7 +85,12 @@ struct CachedCell {
 /// lookups and inserts are thread-safe.
 pub struct CellCache {
     entries: Mutex<HashMap<u64, CachedCell>>,
-    segment: LineJournal,
+    /// This process's segment file.
+    own: PathBuf,
+    /// The open segment: set at open when a file already exists under
+    /// this pid, else on the first insert. `None` once creating it
+    /// failed; appends are advisory, so inserts then stay in memory.
+    segment: OnceLock<Option<LineJournal>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -93,7 +100,7 @@ pub struct CellCache {
 impl fmt::Debug for CellCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CellCache")
-            .field("segment", &self.segment.path())
+            .field("segment", &self.own)
             .field("stats", &self.stats())
             .finish()
     }
@@ -195,8 +202,8 @@ impl CellCache {
     ///
     /// # Errors
     ///
-    /// [`SweepError::Journal`] when the directory or this process's own
-    /// segment cannot be created.
+    /// [`SweepError::Journal`] when the directory cannot be created or an
+    /// existing segment of this process's cannot be recovered.
     pub fn open(dir: &Path) -> Result<Self, SweepError> {
         Self::open_capped(dir, DEFAULT_CACHE_CAP_BYTES)
     }
@@ -209,8 +216,9 @@ impl CellCache {
     ///
     /// # Errors
     ///
-    /// [`SweepError::Journal`] when the directory or this process's own
-    /// segment cannot be created; never for unreadable foreign segments.
+    /// [`SweepError::Journal`] when the directory cannot be created or an
+    /// existing segment of this process's cannot be recovered; never for
+    /// unreadable foreign segments.
     pub fn open_capped(dir: &Path, cap_bytes: u64) -> Result<Self, SweepError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| cache_err(dir, format!("cannot create cache dir: {e}")))?;
@@ -255,19 +263,26 @@ impl CellCache {
             }
         }
 
-        // The own segment goes through the full LineJournal recovery so
-        // this process can append to it; its surviving records load too.
-        let segment = LineJournal::open(&own, CACHE_MAGIC, fingerprint)
-            .map_err(|e| cache_err(&own, e.detail))?;
-        for body in segment.recovered() {
-            if let Some((digest, entry)) = parse_cache_body(body) {
-                entries.insert(digest, entry);
+        // A segment already under our pid goes through the full
+        // LineJournal recovery so this process can append to it; its
+        // surviving records load too. Otherwise the segment waits for the
+        // first insert.
+        let segment = OnceLock::new();
+        if segments.iter().any(|s| s.path == own) {
+            let journal = LineJournal::open(&own, CACHE_MAGIC, fingerprint)
+                .map_err(|e| cache_err(&own, e.detail))?;
+            for body in journal.recovered() {
+                if let Some((digest, entry)) = parse_cache_body(body) {
+                    entries.insert(digest, entry);
+                }
+                loaded_bytes += body.len() as u64 + 19; // " #<16-hex>\n"
             }
-            loaded_bytes += body.len() as u64 + 19; // " #<16-hex>\n"
+            let _ = segment.set(Some(journal));
         }
 
         Ok(CellCache {
             entries: Mutex::new(entries),
+            own,
             segment,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -314,7 +329,10 @@ impl CellCache {
             real: result.real.clone(),
         };
         let body = format_cache_body(digest, &entry);
-        if self.segment.append(&body).is_ok() {
+        let segment = self
+            .segment
+            .get_or_init(|| LineJournal::open(&self.own, CACHE_MAGIC, engine_fingerprint()).ok());
+        if segment.as_ref().is_some_and(|s| s.append(&body).is_ok()) {
             self.bytes
                 .fetch_add(body.len() as u64 + 19, Ordering::Relaxed);
         }
@@ -404,6 +422,36 @@ mod tests {
         let cache = CellCache::open(&dir).expect("reopens");
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lookup(&spec, &cells[0]).as_ref(), Some(&result));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_warm_all_hit_run_adds_no_file_to_the_cache_directory() {
+        let spec = tiny_spec();
+        let dir = tempdir("lazy-segment");
+        let cold = CellCache::open(&dir).expect("opens");
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("lists")
+                .map(|e| e.expect("entry").file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        assert!(listing().is_empty(), "opening creates no segment");
+        crate::engine::run_sweep_with_cache(&spec, 1, Some(&cold)).expect("cold run");
+        drop(cold);
+        // Hand the cold segment to another writer, as a fleet's cold
+        // worker would leave it, so this process has none of its own.
+        let own = dir.join(format!("seg-{}.mpdpc", std::process::id()));
+        std::fs::rename(&own, dir.join("seg-1.mpdpc")).expect("rename");
+        let before = listing();
+
+        let warm = CellCache::open(&dir).expect("reopens");
+        crate::engine::run_sweep_with_cache(&spec, 1, Some(&warm)).expect("warm run");
+        assert_eq!(warm.stats().hits, spec.cell_count() as u64);
+        assert_eq!(warm.stats().misses, 0);
+        assert_eq!(listing(), before, "an all-hit run leaves no segment behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

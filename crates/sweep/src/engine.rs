@@ -36,7 +36,7 @@ use mpdp_core::time::Cycles;
 use mpdp_faults::{fault_stream, CompiledFaults};
 use mpdp_kernel::KernelCosts;
 use mpdp_obs::{EventRecorder, NullProbe, Probe};
-use mpdp_sim::prototype::{run_prototype_probed, PrototypeConfig};
+use mpdp_sim::prototype::{ContentionMemo, PrototypeConfig, PrototypeSim};
 use mpdp_sim::stats::{ResponseAccumulator, SurvivalStats};
 use mpdp_sim::theoretical::{run_theoretical_probed, TheoreticalConfig};
 use mpdp_sim::trace::Trace;
@@ -203,10 +203,14 @@ impl TableCache {
 }
 
 /// Per-worker scratch reused across every cell the worker claims, so the
-/// fan-out does not re-allocate the arrival stream per cell.
+/// fan-out does not re-allocate the arrival stream per cell, and pays for
+/// each distinct contention fixed point once per sweep instead of once
+/// per cell. A worker's scratch lives exactly as long as its sweep, so
+/// nothing carries over between sweeps.
 #[derive(Debug, Default)]
 pub(crate) struct CellScratch {
     arrivals: Vec<(Cycles, usize)>,
+    memo: ContentionMemo,
 }
 
 /// Runs every cell of `spec` over `workers` threads (clamped to at least
@@ -610,15 +614,15 @@ fn run_cell_inner<PT: Probe, PR: Probe>(
         theo_probe,
     )
     .map_err(cell_err)?;
-    let (real, real_probe) = run_prototype_probed(
+    let (real, real_probe) = PrototypeSim::probed(
         MpdpPolicy::new(table).with_degradation(knob.degradation),
-        arrivals,
         PrototypeConfig::new(horizon)
             .with_tick(knob.tick)
             .with_kernel_costs(KernelCosts::default().with_context_scale(knob.context_scale)),
-        &faults,
         real_probe,
     )
+    .with_faults(faults)
+    .run_with_memo(arrivals, &mut scratch.memo)
     .map_err(cell_err)?;
 
     let mut theoretical = stack_result(&theo.trace, target);
