@@ -66,6 +66,23 @@ pub fn partition(
     n_procs: usize,
     heuristic: PartitionHeuristic,
 ) -> Result<Vec<PeriodicTask>, TaskSetError> {
+    let assignment = assign(&tasks, n_procs, heuristic)?;
+    Ok(tasks
+        .into_iter()
+        .zip(assignment)
+        .map(|(t, proc)| t.with_processor(proc))
+        .collect())
+}
+
+/// The processor [`partition`] gives each task, in input order, computed
+/// on borrowed tasks: each candidate is tried by pushing the task onto the
+/// processor's group, checking the members its arrival can delay, and
+/// popping it again on failure.
+pub(crate) fn assign(
+    tasks: &[PeriodicTask],
+    n_procs: usize,
+    heuristic: PartitionHeuristic,
+) -> Result<Vec<ProcId>, TaskSetError> {
     assert!(n_procs > 0, "at least one processor");
     // Consider tasks in decreasing utilization order.
     let mut order: Vec<usize> = (0..tasks.len()).collect();
@@ -76,6 +93,89 @@ pub fn partition(
             .expect("utilizations are finite")
             .then(tasks[a].id().cmp(&tasks[b].id()))
     });
+
+    let mut groups: Vec<Vec<&PeriodicTask>> = vec![Vec::new(); n_procs];
+    // Running group utilizations, summed in placement order exactly as
+    // `Iterator::sum` over the group would.
+    let mut utils: Vec<f64> = vec![0.0; n_procs];
+    let mut assignment: Vec<ProcId> = vec![ProcId::new(0); tasks.len()];
+    let mut candidates: Vec<usize> = Vec::with_capacity(n_procs);
+
+    for &i in &order {
+        let task = &tasks[i];
+        candidates.clear();
+        candidates.extend(0..n_procs);
+        match heuristic {
+            PartitionHeuristic::FirstFitDecreasing => {}
+            PartitionHeuristic::BestFitDecreasing => {
+                candidates.sort_by(|&a, &b| {
+                    utils[b]
+                        .partial_cmp(&utils[a])
+                        .expect("finite")
+                        .then(a.cmp(&b))
+                });
+            }
+            PartitionHeuristic::WorstFitDecreasing => {
+                candidates.sort_by(|&a, &b| {
+                    utils[a]
+                        .partial_cmp(&utils[b])
+                        .expect("finite")
+                        .then(a.cmp(&b))
+                });
+            }
+        }
+        let placed = candidates.iter().copied().find(|&p| {
+            let group = &mut groups[p];
+            group.push(task);
+            if admits(group) {
+                true
+            } else {
+                group.pop();
+                false
+            }
+        });
+        let Some(p) = placed else {
+            return Err(TaskSetError::PartitioningFailed(task.id()));
+        };
+        utils[p] += task.utilization();
+        assignment[i] = ProcId::new(p as u32);
+    }
+    Ok(assignment)
+}
+
+/// Whether a group whose members all passed the response-time analysis
+/// still passes it with its last member just added. Only the newcomer and
+/// the members it outranks can change: a member's interference set is the
+/// strictly higher-priority tasks, so the rest are already verified.
+fn admits(group: &[&PeriodicTask]) -> bool {
+    let newcomer = group.len() - 1;
+    let high = group[newcomer].priorities().high;
+    (0..group.len())
+        .filter(|&k| k == newcomer || group[k].priorities().high < high)
+        .all(|k| rta::worst_case_response(group, k).is_ok())
+}
+
+/// Reference implementation of [`partition`]: the version that cloned the
+/// processor's group and the candidate for every trial and ran
+/// [`rta::analyze`] on the copy. Kept for the differential tests, which
+/// require both to return the same assignment or the same error.
+#[cfg(any(test, feature = "reference"))]
+pub fn partition_reference(
+    tasks: Vec<PeriodicTask>,
+    n_procs: usize,
+    heuristic: PartitionHeuristic,
+) -> Result<Vec<PeriodicTask>, TaskSetError> {
+    assert!(n_procs > 0, "at least one processor");
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by(|&a, &b| {
+        tasks[b]
+            .utilization()
+            .partial_cmp(&tasks[a].utilization())
+            .expect("utilizations are finite")
+            .then(tasks[a].id().cmp(&tasks[b].id()))
+    });
+    let group_util =
+        |group: &[PeriodicTask]| -> f64 { group.iter().map(PeriodicTask::utilization).sum() };
 
     let mut groups: Vec<Vec<PeriodicTask>> = vec![Vec::new(); n_procs];
     let mut assignment: Vec<Option<ProcId>> = vec![None; tasks.len()];
@@ -107,7 +207,7 @@ pub fn partition(
             let proc = ProcId::new(p as u32);
             let mut trial: Vec<PeriodicTask> = groups[p].clone();
             trial.push(task.clone().with_processor(proc));
-            if rta::analyze(&trial, n_procs).is_ok() {
+            if rta::analyze_reference(&trial, n_procs).is_ok() {
                 groups[p].push(task.clone().with_processor(proc));
                 assignment[i] = Some(proc);
                 placed = true;
@@ -127,10 +227,6 @@ pub fn partition(
             t.with_processor(proc)
         })
         .collect())
-}
-
-fn group_util(group: &[PeriodicTask]) -> f64 {
-    group.iter().map(PeriodicTask::utilization).sum()
 }
 
 /// Per-processor utilization of an assigned task set.

@@ -8,11 +8,10 @@
 //! paper's 40–60% operating range against the workload's actual limit.
 
 use mpdp_core::error::TaskSetError;
-use mpdp_core::rta;
 use mpdp_core::task::PeriodicTask;
 use mpdp_core::time::Cycles;
 
-use crate::partition::{partition, PartitionHeuristic};
+use crate::partition::{assign, PartitionHeuristic};
 
 /// Scales a task set's utilization by `factor` by dividing every period and
 /// deadline (WCETs are untouched, so utilization multiplies by `factor`).
@@ -56,9 +55,24 @@ pub fn is_schedulable_at(
     factor: f64,
     heuristic: PartitionHeuristic,
 ) -> bool {
+    // A successful partition already verified every processor's group
+    // with the response-time analysis, so it decides the answer alone.
+    assign(&scale_load(tasks, factor), n_procs, heuristic).is_ok()
+}
+
+/// Reference implementation of [`is_schedulable_at`]: partition, then
+/// re-run the whole analysis on the assigned set. Kept for the
+/// differential tests.
+#[cfg(any(test, feature = "reference"))]
+pub fn is_schedulable_at_reference(
+    tasks: &[PeriodicTask],
+    n_procs: usize,
+    factor: f64,
+    heuristic: PartitionHeuristic,
+) -> bool {
     let scaled = scale_load(tasks, factor);
-    match partition(scaled, n_procs, heuristic) {
-        Ok(assigned) => rta::analyze(&assigned, n_procs).is_ok(),
+    match crate::partition::partition_reference(scaled, n_procs, heuristic) {
+        Ok(assigned) => mpdp_core::rta::analyze_reference(&assigned, n_procs).is_ok(),
         Err(_) => false,
     }
 }

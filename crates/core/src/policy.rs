@@ -229,11 +229,23 @@ pub trait Scheduler {
     fn job(&self, id: JobId) -> &Job;
     /// Releases periodic tasks due at or before `now`; returns new job ids.
     fn release_due(&mut self, now: Cycles) -> Vec<JobId>;
+    /// [`Scheduler::release_due`] into a caller-owned buffer, replacing its
+    /// contents. The kernel calls this on every scheduling pass and reuses
+    /// one buffer; the default delegates to `release_due()` (and so
+    /// allocates).
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        *out = self.release_due(now);
+    }
     /// Releases an aperiodic job (ISR path).
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId;
     /// Applies promotions due at or before `now` (no-op for single-band
     /// policies); returns promoted job ids.
     fn promote_due(&mut self, now: Cycles) -> Vec<JobId>;
+    /// [`Scheduler::promote_due`] into a caller-owned buffer, replacing its
+    /// contents; the default delegates to `promote_due()`.
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        *out = self.promote_due(now);
+    }
     /// Earliest pending promotion instant, if the policy promotes.
     fn next_promotion_time(&self) -> Option<Cycles>;
     /// Earliest parked periodic release.
@@ -334,8 +346,15 @@ pub trait Scheduler {
     /// Diffs the current running map against a desired assignment, yielding
     /// context-switch actions for processors whose job changes.
     fn diff(&self, desired: &[Option<JobId>]) -> Vec<SwitchAction> {
-        assert_eq!(desired.len(), self.n_procs(), "one slot per processor");
         let mut actions = Vec::new();
+        self.diff_into(desired, &mut actions);
+        actions
+    }
+    /// [`Scheduler::diff`] into a caller-owned buffer, replacing its
+    /// contents.
+    fn diff_into(&self, desired: &[Option<JobId>], actions: &mut Vec<SwitchAction>) {
+        assert_eq!(desired.len(), self.n_procs(), "one slot per processor");
+        actions.clear();
         for (p, (cur, want)) in self.running().iter().zip(desired).enumerate() {
             if cur != want {
                 actions.push(SwitchAction {
@@ -345,7 +364,6 @@ pub trait Scheduler {
                 });
             }
         }
-        actions
     }
 }
 
@@ -486,9 +504,16 @@ impl MpdpPolicy {
     /// release, so a scheduler that only checks at ticks (like the paper's
     /// prototype) does not gain slack by noticing releases late.
     pub fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
-        let due = self.wpq.pop_due(now);
-        let mut out = Vec::with_capacity(due.len());
-        for task_index in due {
+        let mut out = Vec::new();
+        self.release_due_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::release_due`] into a caller-owned buffer, replacing its
+    /// contents.
+    pub fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        out.clear();
+        for task_index in self.wpq.drain_due(now) {
             let release = self.next_release[task_index];
             let spec = &self.table.periodic()[task_index];
             let job_id = JobId::new(self.jobs.len() as u32);
@@ -506,7 +531,6 @@ impl MpdpPolicy {
             self.prq.push(job_id, spec.priorities().low);
             out.push(job_id);
         }
-        out
     }
 
     /// Releases an aperiodic job (called from the peripheral ISR path).
@@ -561,16 +585,24 @@ impl MpdpPolicy {
     /// the scan costs the ready periodic jobs, not every job slot ever
     /// allocated.
     pub fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        let mut due: Vec<JobId> = self
-            .prq
-            .iter()
-            .filter(|&id| self.job(id).promotion_at.is_some_and(|p| p <= now))
-            .collect();
+        let mut due = Vec::new();
+        self.promote_due_into(now, &mut due);
+        due
+    }
+
+    /// [`Self::promote_due`] into a caller-owned buffer, replacing its
+    /// contents.
+    pub fn promote_due_into(&mut self, now: Cycles, due: &mut Vec<JobId>) {
+        due.clear();
+        due.extend(
+            self.prq
+                .iter()
+                .filter(|&id| self.job(id).promotion_at.is_some_and(|p| p <= now)),
+        );
         due.sort_unstable();
-        for &id in &due {
+        for &id in due.iter() {
             self.promote(id);
         }
-        due
     }
 
     /// Moves one unpromoted periodic job from the PRQ to its design-time
@@ -1204,11 +1236,17 @@ impl Scheduler for MpdpPolicy {
     fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
         self.release_due(now)
     }
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.release_due_into(now, out)
+    }
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId {
         self.release_aperiodic(task_index, now)
     }
     fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
         self.promote_due(now)
+    }
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.promote_due_into(now, out)
     }
     fn next_promotion_time(&self) -> Option<Cycles> {
         self.next_promotion_time()

@@ -58,8 +58,14 @@ impl WaitingPeriodicQueue {
 
     /// Removes and returns every task whose release time is `≤ now`.
     pub fn pop_due(&mut self, now: Cycles) -> Vec<usize> {
+        self.drain_due(now).collect()
+    }
+
+    /// Removes every task whose release time is `≤ now`, yielding them in
+    /// release order without collecting them.
+    pub fn drain_due(&mut self, now: Cycles) -> impl Iterator<Item = usize> + '_ {
         let split = self.entries.partition_point(|&(r, _, _)| r <= now);
-        self.entries.drain(..split).map(|(_, _, t)| t).collect()
+        self.entries.drain(..split).map(|(_, _, t)| t)
     }
 
     /// The earliest parked release time, if any.

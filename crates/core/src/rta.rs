@@ -67,18 +67,14 @@ pub struct RtaResult {
 /// Panics if `index` is out of bounds.
 pub fn worst_case_response(tasks: &[&PeriodicTask], index: usize) -> Result<Cycles, TaskSetError> {
     let task = tasks[index];
-    let hp: Vec<&PeriodicTask> = tasks
-        .iter()
-        .filter(|t| t.priorities().high > task.priorities().high)
-        .copied()
-        .collect();
+    let high = task.priorities().high;
     let mut w = task.wcet();
     loop {
         if w > task.deadline() {
             return Err(TaskSetError::Unschedulable(task.id()));
         }
         let mut next = task.wcet();
-        for j in &hp {
+        for j in tasks.iter().filter(|t| t.priorities().high > high) {
             let activations = w.div_ceil(j.period());
             next = next.saturating_add(j.wcet().saturating_mul(activations));
         }
@@ -105,6 +101,72 @@ pub fn analyze(tasks: &[PeriodicTask], n_procs: usize) -> Result<Vec<RtaResult>,
             return Err(TaskSetError::UnknownProcessor(t.id(), t.processor()));
         }
     }
+    // One pass groups the tasks by processor (input order within a group)
+    // and records each task's position in its group.
+    let mut groups: Vec<Vec<&PeriodicTask>> = vec![Vec::new(); n_procs];
+    let mut local: Vec<usize> = Vec::with_capacity(tasks.len());
+    for t in tasks {
+        let group = &mut groups[t.processor().index()];
+        local.push(group.len());
+        group.push(t);
+    }
+    let mut results = Vec::with_capacity(tasks.len());
+    for (task, &index) in tasks.iter().zip(&local) {
+        let response = worst_case_response(&groups[task.processor().index()], index)?;
+        results.push(RtaResult {
+            task: task.id(),
+            response,
+            promotion: task.deadline() - response,
+        });
+    }
+    Ok(results)
+}
+
+/// Reference implementation of [`worst_case_response`]: the version that
+/// collected the higher-priority tasks into a `Vec` before iterating.
+/// Kept for the differential tests, which require both to agree.
+#[cfg(any(test, feature = "reference"))]
+pub fn worst_case_response_reference(
+    tasks: &[&PeriodicTask],
+    index: usize,
+) -> Result<Cycles, TaskSetError> {
+    let task = tasks[index];
+    let hp: Vec<&PeriodicTask> = tasks
+        .iter()
+        .filter(|t| t.priorities().high > task.priorities().high)
+        .copied()
+        .collect();
+    let mut w = task.wcet();
+    loop {
+        if w > task.deadline() {
+            return Err(TaskSetError::Unschedulable(task.id()));
+        }
+        let mut next = task.wcet();
+        for j in &hp {
+            let activations = w.div_ceil(j.period());
+            next = next.saturating_add(j.wcet().saturating_mul(activations));
+        }
+        if next == w {
+            return Ok(w);
+        }
+        w = next;
+    }
+}
+
+/// Reference implementation of [`analyze`]: the version that rebuilt the
+/// task's processor group for every task. Kept for the differential
+/// tests, which require both to return the same results and the same
+/// first error.
+#[cfg(any(test, feature = "reference"))]
+pub fn analyze_reference(
+    tasks: &[PeriodicTask],
+    n_procs: usize,
+) -> Result<Vec<RtaResult>, TaskSetError> {
+    for t in tasks {
+        if t.processor().index() >= n_procs {
+            return Err(TaskSetError::UnknownProcessor(t.id(), t.processor()));
+        }
+    }
     let mut results = Vec::with_capacity(tasks.len());
     for (i, task) in tasks.iter().enumerate() {
         let same_proc: Vec<&PeriodicTask> = tasks
@@ -115,7 +177,7 @@ pub fn analyze(tasks: &[PeriodicTask], n_procs: usize) -> Result<Vec<RtaResult>,
             .iter()
             .position(|t| std::ptr::eq(*t, &tasks[i]))
             .expect("task present in its own processor group");
-        let response = worst_case_response(&same_proc, local_index)?;
+        let response = worst_case_response_reference(&same_proc, local_index)?;
         results.push(RtaResult {
             task: task.id(),
             response,

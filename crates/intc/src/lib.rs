@@ -107,12 +107,13 @@ enum ProcState {
 }
 
 /// A pending interrupt not yet signaled (its target set is busy).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     source: InterruptSource,
-    /// Routing constraint: `None` = any free processor; `Some(procs)` =
-    /// only these (booking → one entry; directed IPI → one entry).
-    targets: Option<Vec<ProcId>>,
+    /// Routing constraint: `None` = any free processor; `Some(proc)` =
+    /// only that one (a booking, a directed IPI or timer, or one target of
+    /// a multicast, which enqueues once per target).
+    target: Option<ProcId>,
     /// Index of the next processor to try in the priority list (for timeout
     /// rotation).
     next_try: usize,
@@ -156,7 +157,7 @@ pub struct MpInterruptController {
     signal: Vec<Option<SignaledInterrupt>>,
     /// Routing constraint of each raised signal (needed to re-route on
     /// timeout without widening a booked/directed delivery).
-    signal_targets: Vec<Option<Vec<ProcId>>>,
+    signal_targets: Vec<Option<ProcId>>,
     /// Peripheral bookings: `booking[p]` restricts peripheral `p`'s
     /// interrupts to one processor.
     booking: Vec<Option<ProcId>>,
@@ -245,11 +246,11 @@ impl MpInterruptController {
         if let Some(mask) = self.multicast[p.index()] {
             for i in 0..self.n_procs {
                 if mask & (1 << i) != 0 {
-                    self.enqueue(source, now, Some(vec![ProcId::new(i as u32)]));
+                    self.enqueue(source, now, Some(ProcId::new(i as u32)));
                 }
             }
         } else if let Some(proc) = self.booking[p.index()] {
-            self.enqueue(source, now, Some(vec![proc]));
+            self.enqueue(source, now, Some(proc));
         } else {
             self.enqueue(source, now, None);
         }
@@ -269,18 +270,14 @@ impl MpInterruptController {
     /// `ablate_intc` experiment.
     pub fn raise_timer_to(&mut self, proc: ProcId, now: Cycles) {
         assert!(proc.index() < self.n_procs, "processor out of range");
-        self.enqueue(InterruptSource::Timer, now, Some(vec![proc]));
+        self.enqueue(InterruptSource::Timer, now, Some(proc));
     }
 
     /// Raises the timer as a broadcast to every processor (the alternative
     /// global-tick configuration the paper mentions).
     pub fn raise_timer_broadcast(&mut self, now: Cycles) {
         for i in 0..self.n_procs {
-            self.enqueue(
-                InterruptSource::Timer,
-                now,
-                Some(vec![ProcId::new(i as u32)]),
-            );
+            self.enqueue(InterruptSource::Timer, now, Some(ProcId::new(i as u32)));
         }
     }
 
@@ -292,14 +289,14 @@ impl MpInterruptController {
     /// Panics if either processor is out of range.
     pub fn raise_ipi(&mut self, from: ProcId, to: ProcId, payload: u32, now: Cycles) {
         assert!(from.index() < self.n_procs && to.index() < self.n_procs);
-        self.enqueue(InterruptSource::Ipi { from, payload }, now, Some(vec![to]));
+        self.enqueue(InterruptSource::Ipi { from, payload }, now, Some(to));
     }
 
-    fn enqueue(&mut self, source: InterruptSource, now: Cycles, targets: Option<Vec<ProcId>>) {
+    fn enqueue(&mut self, source: InterruptSource, now: Cycles, target: Option<ProcId>) {
         self.stats.raised += 1;
         self.pending.push_back(Pending {
             source,
-            targets,
+            target,
             next_try: 0,
         });
         self.route(now);
@@ -308,30 +305,31 @@ impl MpInterruptController {
     /// Attempts to signal pending interrupts to free processors. Higher
     /// priority sources route first; FIFO within a source class.
     fn route(&mut self, now: Cycles) {
-        // Stable sort by priority class, preserving arrival order within.
-        let mut items: Vec<Pending> = self.pending.drain(..).collect();
-        items.sort_by_key(|p| p.source.priority_key());
-        let mut remaining = VecDeque::new();
-        for mut item in items {
-            if !self.try_signal(&mut item, now) {
-                remaining.push_back(item);
-            }
-        }
-        self.pending = remaining;
+        // Stable sort by priority class, preserving arrival order within;
+        // what cannot be signaled stays queued in that order. Sorting and
+        // filtering in place keeps the queue's buffer.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending
+            .make_contiguous()
+            .sort_by_key(|p| p.source.priority_key());
+        pending.retain_mut(|item| !self.try_signal(item, now));
+        self.pending = pending;
     }
 
     /// Tries to raise the line for one pending interrupt; returns `true` if
     /// signaled.
     fn try_signal(&mut self, item: &mut Pending, now: Cycles) -> bool {
-        let candidates: Vec<ProcId> = match &item.targets {
-            Some(t) => t.clone(),
-            None => (0..self.n_procs as u32).map(ProcId::new).collect(),
-        };
         // Rotation: start from next_try and wrap (fixed priority list with
-        // timeout advance).
-        let n = candidates.len();
+        // timeout advance). A single target is its own whole list.
+        let n = if item.target.is_some() {
+            1
+        } else {
+            self.n_procs
+        };
         for off in 0..n {
-            let proc = candidates[(item.next_try + off) % n];
+            let proc = item
+                .target
+                .unwrap_or_else(|| ProcId::new(((item.next_try + off) % n) as u32));
             if self.proc_state[proc.index()] == ProcState::Free {
                 self.proc_state[proc.index()] = ProcState::Signaled;
                 self.signal[proc.index()] = Some(SignaledInterrupt {
@@ -339,7 +337,7 @@ impl MpInterruptController {
                     signaled_at: now,
                     deadline: now + self.ack_timeout,
                 });
-                self.signal_targets[proc.index()] = item.targets.clone();
+                self.signal_targets[proc.index()] = item.target;
                 self.stats.signaled += 1;
                 return true;
             }
@@ -411,7 +409,7 @@ impl MpInterruptController {
                     expired.push(ProcId::new(i as u32));
                     self.pending.push_back(Pending {
                         source: sig.source,
-                        targets: self.signal_targets[i].take(),
+                        target: self.signal_targets[i].take(),
                         next_try: i + 1, // subsequent processor in the list
                     });
                 }
@@ -449,7 +447,7 @@ impl MpInterruptController {
             self.stats.timeouts += 1;
             self.pending.push_back(Pending {
                 source: sig.source,
-                targets: self.signal_targets[i].take(),
+                target: self.signal_targets[i].take(),
                 next_try: i + 1,
             });
         }

@@ -30,7 +30,11 @@ use mpdp_obs::{EventKind, Probe};
 use crate::costs::{KernelCost, KernelCosts};
 
 /// Everything a scheduling pass decided.
-#[derive(Debug, Clone)]
+///
+/// A simulator keeps one and hands it to every pass
+/// ([`Microkernel::scheduling_pass_into`]), so the job and action lists
+/// reuse their buffers instead of allocating per pass.
+#[derive(Debug, Clone, Default)]
 pub struct SchedulingPass {
     /// Jobs released into the ready queues.
     pub released: Vec<JobId>,
@@ -167,23 +171,34 @@ impl<S: Scheduler> Microkernel<S> {
         now: Cycles,
         check_releases: bool,
     ) -> SchedulingPass {
-        let (released, promoted) = if check_releases {
-            (self.policy.release_due(now), self.policy.promote_due(now))
+        let mut pass = SchedulingPass::default();
+        self.scheduling_pass_into(on_proc, now, check_releases, &mut pass);
+        pass
+    }
+
+    /// [`Microkernel::scheduling_pass`] into a caller-owned pass, replacing
+    /// its contents and reusing its buffers.
+    pub fn scheduling_pass_into(
+        &mut self,
+        on_proc: ProcId,
+        now: Cycles,
+        check_releases: bool,
+        pass: &mut SchedulingPass,
+    ) {
+        if check_releases {
+            self.policy.release_due_into(now, &mut pass.released);
+            self.policy.promote_due_into(now, &mut pass.promoted);
         } else {
-            (Vec::new(), Vec::new())
-        };
+            pass.released.clear();
+            pass.promoted.clear();
+        }
         self.policy.assign_into(&mut self.desired);
-        let actions = self.policy.diff(&self.desired);
-        let ipis = actions.iter().filter(|a| a.proc != on_proc).count();
+        self.policy.diff_into(&self.desired, &mut pass.actions);
+        let ipis = pass.actions.iter().filter(|a| a.proc != on_proc).count();
         self.stats.ipis += ipis as u64;
         self.stats.sched_passes += 1;
-        let moved = released.len() + promoted.len() + actions.len();
-        SchedulingPass {
-            released,
-            promoted,
-            actions,
-            cost: self.costs.scheduling_pass(moved, ipis),
-        }
+        let moved = pass.released.len() + pass.promoted.len() + pass.actions.len();
+        pass.cost = self.costs.scheduling_pass(moved, ipis);
     }
 
     /// Releases an aperiodic job from the peripheral ISR on `on_proc`,
@@ -212,14 +227,16 @@ impl<S: Scheduler> Microkernel<S> {
     /// ([`Scheduler::try_release_aperiodic`] returns `None`), the ISR
     /// acknowledges the peripheral and returns without enqueuing a job or
     /// running the re-assignment pass. The shed still pays the ISR entry
-    /// cost — the interrupt fired either way.
+    /// cost — the interrupt fired either way. The pass is written into the
+    /// caller-owned `pass`, as [`Microkernel::scheduling_pass_into`] does.
     pub fn try_aperiodic_isr(
         &mut self,
         task_index: usize,
         on_proc: ProcId,
         arrival: Cycles,
         now: Cycles,
-    ) -> (Option<JobId>, SchedulingPass) {
+        pass: &mut SchedulingPass,
+    ) -> Option<JobId> {
         #[cfg(any(test, feature = "mutation"))]
         if let Some(every) = self.isr_drop_every {
             self.isr_seq += 1;
@@ -227,37 +244,31 @@ impl<S: Scheduler> Microkernel<S> {
                 // The interrupt fired and is acknowledged (ISR entry cost
                 // paid), but the release never reaches the policy.
                 self.stats.aperiodic_shed += 1;
-                return (
-                    None,
-                    SchedulingPass {
-                        released: Vec::new(),
-                        promoted: Vec::new(),
-                        actions: Vec::new(),
-                        cost: self.costs.aperiodic_isr(),
-                    },
-                );
+                self.isr_only(pass);
+                return None;
             }
         }
         match self.policy.try_release_aperiodic(task_index, arrival) {
             Some(job) => {
                 self.stats.aperiodic_releases += 1;
-                let mut pass = self.scheduling_pass(on_proc, now, false);
+                self.scheduling_pass_into(on_proc, now, false, pass);
                 pass.cost = pass.cost.plus(self.costs.aperiodic_isr());
-                (Some(job), pass)
+                Some(job)
             }
             None => {
                 self.stats.aperiodic_shed += 1;
-                (
-                    None,
-                    SchedulingPass {
-                        released: Vec::new(),
-                        promoted: Vec::new(),
-                        actions: Vec::new(),
-                        cost: self.costs.aperiodic_isr(),
-                    },
-                )
+                self.isr_only(pass);
+                None
             }
         }
+    }
+
+    /// A pass that decided nothing and cost only the ISR entry.
+    fn isr_only(&self, pass: &mut SchedulingPass) {
+        pass.released.clear();
+        pass.promoted.clear();
+        pass.actions.clear();
+        pass.cost = self.costs.aperiodic_isr();
     }
 
     /// Cost of carrying out `action` on its processor.
@@ -603,10 +614,23 @@ mod tests {
         for a in &pass.actions {
             k.apply_switch(a, Cycles::ZERO);
         }
-        let (first, _) = k.try_aperiodic_isr(0, ProcId::new(0), Cycles::new(10), Cycles::new(10));
+        // One pass buffer serves both ISRs, as in the simulator.
+        let mut pass = SchedulingPass::default();
+        let first = k.try_aperiodic_isr(
+            0,
+            ProcId::new(0),
+            Cycles::new(10),
+            Cycles::new(10),
+            &mut pass,
+        );
         assert!(first.is_some(), "first arrival admitted");
-        let (second, pass) =
-            k.try_aperiodic_isr(0, ProcId::new(0), Cycles::new(20), Cycles::new(20));
+        let second = k.try_aperiodic_isr(
+            0,
+            ProcId::new(0),
+            Cycles::new(20),
+            Cycles::new(20),
+            &mut pass,
+        );
         assert!(second.is_none(), "second arrival shed at the limit");
         assert!(
             pass.actions.is_empty(),

@@ -12,6 +12,8 @@ use std::time::Duration;
 pub struct Client {
     reader: BufReader<Box<dyn Read + Send>>,
     writer: Box<dyn Write + Send>,
+    /// The request line being framed, reused by every [`Client::send`].
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -27,6 +29,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(Box::new(stream)),
             writer: Box::new(writer),
+            frame: Vec::new(),
         })
     }
 
@@ -43,6 +46,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(Box::new(stream)),
             writer: Box::new(writer),
+            frame: Vec::new(),
         })
     }
 
@@ -52,8 +56,12 @@ impl Client {
     ///
     /// Propagates write failures (e.g. the daemon closed the connection).
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per line: the daemon never sees a line without its
+        // newline, and the request costs one `send(2)`.
+        self.frame.clear();
+        self.frame.extend_from_slice(line.as_bytes());
+        self.frame.push(b'\n');
+        self.writer.write_all(&self.frame)?;
         self.writer.flush()
     }
 

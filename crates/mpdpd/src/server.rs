@@ -117,11 +117,13 @@ struct Daemon {
     default_deadline: Duration,
 }
 
-fn respond(writer: &SharedWriter, line: &str) {
+/// Sends one response line. The line and its newline go out in one
+/// write, so the peer never wakes up on a line without its terminator.
+fn respond(writer: &SharedWriter, mut line: String) {
+    line.push('\n');
     let mut w = writer.lock().expect("writer lock");
     // The client may be gone; a failed response is not a server fault.
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
 }
 
@@ -131,7 +133,7 @@ impl Daemon {
             Ok(env) => env,
             Err((id, kind, detail)) => {
                 self.metrics.event(&ServeEvent::BadRequest);
-                respond(writer, &error_response(id, kind, &detail));
+                respond(writer, error_response(id, kind, &detail));
                 return;
             }
         };
@@ -157,7 +159,7 @@ impl Daemon {
                 self.metrics.event(&ServeEvent::ShedBestEffort);
                 respond(
                     &job.writer,
-                    &error_response(
+                    error_response(
                         job.envelope.id,
                         ErrorKind::Overloaded,
                         "queue full; best-effort request shed",
@@ -177,7 +179,7 @@ impl Daemon {
                 self.metrics.event(&ServeEvent::ShedBestEffort);
                 respond(
                     &victim.writer,
-                    &error_response(
+                    error_response(
                         victim.envelope.id,
                         ErrorKind::Overloaded,
                         "shed to make room for a guaranteed request",
@@ -191,7 +193,7 @@ impl Daemon {
             self.metrics.event(&ServeEvent::RejectedGuaranteed);
             respond(
                 &job.writer,
-                &error_response(
+                error_response(
                     job.envelope.id,
                     ErrorKind::Overloaded,
                     "queue full of guaranteed requests; retry",
@@ -238,7 +240,7 @@ impl Daemon {
             self.metrics.event(&ServeEvent::TimedOut { endpoint });
             respond(
                 &job.writer,
-                &error_response(
+                error_response(
                     id,
                     ErrorKind::Timeout,
                     &format!(
@@ -250,7 +252,7 @@ impl Daemon {
             return;
         }
         let response = self.dispatch(&job.envelope);
-        respond(&job.writer, &response);
+        respond(&job.writer, response);
         self.metrics.event(&ServeEvent::Completed {
             endpoint,
             wall: job.enqueued.elapsed(),
@@ -313,12 +315,15 @@ impl Daemon {
     }
 
     fn query(&self, id: u64, name: &str, kind: &QueryKind) -> String {
-        // Clone the (small) session out of the lock so slow analysis never
-        // blocks the guaranteed band.
+        // Take a snapshot (an `Arc` clone) under the lock and analyze it
+        // outside, so slow analysis never blocks the guaranteed band. A
+        // concurrent admit copies the session rather than change this one,
+        // so the reply describes the state before or after that admit,
+        // never a mix.
         let session = {
             let state = self.state.lock().expect("state lock");
             match state.get(name) {
-                Some(s) => s.clone(),
+                Some(s) => Arc::clone(s),
                 None => {
                     return error_response(
                         id,
@@ -463,17 +468,25 @@ impl Stream {
 
 fn reader_loop(daemon: Arc<Daemon>, mut src: Box<dyn Read + Send>, writer: SharedWriter) {
     let mut pending: Vec<u8> = Vec::new();
+    // `pending[..scanned]` is known to hold no newline.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     let mut final_pass = false;
     loop {
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = pending.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw[..raw.len() - 1]).into_owned();
+        let mut start = 0;
+        while let Some(off) = pending[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + off;
+            let line = String::from_utf8_lossy(&pending[start..end]);
             let line = line.trim();
             if !line.is_empty() {
                 daemon.handle_line(line, &writer);
             }
+            start = end + 1;
+            scanned = start;
         }
+        // Keep only the unterminated tail, which the scan above has read.
+        pending.drain(..start);
+        scanned = pending.len();
         if daemon.draining.load(Ordering::Acquire) {
             // One last read so a request that raced the drain signal onto
             // the socket still counts as in flight; then stop for good.

@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use mpdp_analysis::{AdmissionOutcome, AdmissionSession, PartitionHeuristic, RejectReason};
 use mpdp_core::ids::TaskId;
@@ -56,8 +57,15 @@ pub struct Session {
 }
 
 /// The session map plus its write-ahead journal.
+///
+/// Sessions are held behind [`Arc`]s so a read-only query can take a
+/// snapshot in O(1) ([`SessionStore::get`] plus `Arc::clone`) and run its
+/// analysis outside the daemon's state lock. A mutation writes through
+/// `Arc::make_mut`: in place when no snapshot is alive, otherwise on a
+/// private copy, leaving every outstanding snapshot at the state it was
+/// taken from.
 pub struct SessionStore {
-    sessions: BTreeMap<String, Session>,
+    sessions: BTreeMap<String, Arc<Session>>,
     journal: LineJournal,
     rebuilt: usize,
 }
@@ -107,8 +115,9 @@ impl SessionStore {
         self.sessions.is_empty()
     }
 
-    /// Looks up a session for a read-only query.
-    pub fn get(&self, name: &str) -> Option<&Session> {
+    /// Looks up a session for a read-only query. Clone the returned
+    /// [`Arc`] to keep a snapshot beyond the borrow of the store.
+    pub fn get(&self, name: &str) -> Option<&Arc<Session>> {
         self.sessions.get(name)
     }
 
@@ -176,7 +185,7 @@ pub fn json_num(x: f64) -> String {
 }
 
 fn apply_open(
-    sessions: &mut BTreeMap<String, Session>,
+    sessions: &mut BTreeMap<String, Arc<Session>>,
     name: &str,
     util: f64,
     procs: usize,
@@ -188,11 +197,11 @@ fn apply_open(
             let base: f64 = admission.periodic().iter().map(|t| t.utilization()).sum();
             sessions.insert(
                 name.to_string(),
-                Session {
+                Arc::new(Session {
                     util,
                     procs,
                     admission,
-                },
+                }),
             );
             Ok(format!(
                 "\"session\":\"{name}\",\"tasks\":{tasks},\"base_utilization\":{}",
@@ -207,13 +216,14 @@ fn apply_open(
 }
 
 fn apply_admit(
-    sessions: &mut BTreeMap<String, Session>,
+    sessions: &mut BTreeMap<String, Arc<Session>>,
     name: &str,
     task: u32,
     exec_us: u64,
     window_us: u64,
 ) -> OpResult {
-    let session = sessions.get_mut(name).ok_or_else(|| unknown(name))?;
+    // Copies the session only if a query still holds a snapshot of it.
+    let session = Arc::make_mut(sessions.get_mut(name).ok_or_else(|| unknown(name))?);
     let req = AperiodicTask::new(
         TaskId::new(task),
         format!("ap{task}"),
@@ -246,7 +256,7 @@ fn apply_admit(
     }
 }
 
-fn apply_close(sessions: &mut BTreeMap<String, Session>, name: &str) -> OpResult {
+fn apply_close(sessions: &mut BTreeMap<String, Arc<Session>>, name: &str) -> OpResult {
     let session = sessions.remove(name).ok_or_else(|| unknown(name))?;
     Ok(format!(
         "\"closed\":\"{name}\",\"admitted\":{}",
@@ -257,7 +267,7 @@ fn apply_close(sessions: &mut BTreeMap<String, Session>, name: &str) -> OpResult
 /// Replays one journal record body. Returns `None` when the record does
 /// not parse (the caller truncates the journal there); op-level rejections
 /// replay to the same rejection and are *not* parse failures.
-fn replay_record(sessions: &mut BTreeMap<String, Session>, body: &str) -> Option<()> {
+fn replay_record(sessions: &mut BTreeMap<String, Arc<Session>>, body: &str) -> Option<()> {
     let mut parts = body.split(' ');
     let verb = parts.next()?;
     match verb {
@@ -384,6 +394,40 @@ mod tests {
         // Errors are not journaled: replay sees only the one open.
         let again = SessionStore::open(&d.join("j.mpdpd")).expect("reopens");
         assert_eq!(again.len(), 1);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_state_across_an_admit() {
+        let d = dir("snapshot");
+        let mut store = SessionStore::open(&d.join("j.mpdpd")).expect("opens");
+        store.open_session("s", 0.4, 2).expect("opens");
+        store.admit("s", 100, 200, 100_000).expect("admits");
+        // What a query holds while it analyzes outside the state lock.
+        let snapshot = Arc::clone(store.get("s").expect("s"));
+        let body = store.admit("s", 101, 200, 100_000).expect("admits");
+        assert!(body.starts_with("\"admitted\":true"), "{body}");
+        assert_eq!(snapshot.admission.admitted().len(), 1, "snapshot unchanged");
+        let live = store.get("s").expect("s");
+        assert_eq!(live.admission.admitted().len(), 2, "store sees the admit");
+        assert!(!Arc::ptr_eq(&snapshot, live), "the admit wrote a copy");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn an_admit_with_no_live_snapshot_copies_nothing() {
+        let d = dir("in-place");
+        let mut store = SessionStore::open(&d.join("j.mpdpd")).expect("opens");
+        store.open_session("s", 0.4, 2).expect("opens");
+        let before = Arc::as_ptr(store.get("s").expect("s"));
+        for task in 100..104 {
+            let live = store.get("s").expect("s");
+            assert_eq!(Arc::strong_count(live), 1, "no snapshot outlives a query");
+            store.admit("s", task, 200, 100_000).expect("admits");
+        }
+        let after = store.get("s").expect("s");
+        assert_eq!(after.admission.admitted().len(), 4);
+        assert_eq!(Arc::as_ptr(after), before, "every admit wrote in place");
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -34,7 +34,7 @@ use mpdp_faults::CompiledFaults;
 use mpdp_hw::contention::ContentionModel;
 use mpdp_hw::timer::SystemTimer;
 use mpdp_intc::{IntcStats, InterruptSource, MpInterruptController};
-use mpdp_kernel::{KernelCost, KernelCosts, KernelStats, Microkernel};
+use mpdp_kernel::{KernelCost, KernelCosts, KernelStats, Microkernel, SchedulingPass};
 use mpdp_obs::{Bucket, EventKind, IrqKind, NullProbe, Probe, Span, SpanKind, WorkSplitter};
 
 use crate::stats::SurvivalStats;
@@ -376,6 +376,9 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     /// Buffer for the policy's desired assignment, reused by every
     /// scheduling decision.
     desired: Vec<Option<JobId>>,
+    /// Buffer for the kernel's scheduling-pass decisions, reused by every
+    /// timer and peripheral ISR.
+    pass: SchedulingPass,
     now: Cycles,
     trace: Trace,
     /// Open trace segment per processor (tracked when segment recording or
@@ -454,6 +457,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             memo: ContentionMemo::new(),
             qd_scratch: Vec::new(),
             desired: Vec::with_capacity(n_procs),
+            pass: SchedulingPass::default(),
             now: Cycles::ZERO,
             trace: Trace::new(),
             open: vec![None; n_procs],
@@ -1087,11 +1091,15 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }
         match sig.source {
             InterruptSource::Timer => {
-                let pass = self.kernel.scheduling_pass(proc, self.now, true);
+                let mut pass = std::mem::take(&mut self.pass);
+                self.kernel
+                    .scheduling_pass_into(proc, self.now, true, &mut pass);
                 if P::ENABLED {
                     self.release_events(&pass.released, &pass.promoted);
                 }
-                let busy = self.priced_burst(proc, pass.cost);
+                let cost = pass.cost;
+                self.pass = pass;
+                let busy = self.priced_burst(proc, cost);
                 let wait = self.acquire_sched_lock(proc, self.now + busy);
                 let until = self.now + wait + busy;
                 self.set_activity(
@@ -1125,9 +1133,10 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                     );
                     return;
                 };
-                let (job, pass) =
+                let mut pass = std::mem::take(&mut self.pass);
+                let job =
                     self.kernel
-                        .try_aperiodic_isr(per.index(), proc, arrival, self.now);
+                        .try_aperiodic_isr(per.index(), proc, arrival, self.now, &mut pass);
                 if job.is_none() {
                     // Shed under overload: acknowledge only. A deferred
                     // re-trigger (if any) gets its chance next.
@@ -1160,7 +1169,9 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                     }
                     self.release_events(&pass.released, &pass.promoted);
                 }
-                let busy = self.priced_burst(proc, pass.cost);
+                let cost = pass.cost;
+                self.pass = pass;
+                let busy = self.priced_burst(proc, cost);
                 let wait = self.acquire_sched_lock(proc, self.now + busy);
                 let until = self.now + wait + busy;
                 self.set_activity(
